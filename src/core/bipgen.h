@@ -5,9 +5,9 @@
 //    consumes (identical solution space; the y/x/z variables are
 //    implicit in the per-query choice structure).
 //  * BuildModel — the literal Theorem-1 BIP (explicit y_qk, x_qkia,
-//    z_a variables and rows), solvable by the generic MIP solver.
-//    Exponentially clearer, linearly bigger; used for validation and
-//    small instances.
+//    z_a variables and rows) as an lp::Model. Exponentially clearer,
+//    linearly bigger; used to validate the structured form and as an
+//    LP benchmark instance.
 //
 // Both accept the DBA constraint set: index constraints become linear
 // z-rows (§3.2), query-cost constraints become per-query caps/rows.

@@ -79,8 +79,8 @@ SolverActivity CaptureSolverActivity() {
 SolverActivity SolverActivitySince(const SolverActivity& snapshot) {
   SolverActivity activity;
   activity.lp = lp::SolverCountersSince(snapshot.lp);
-  // mip_nodes / bound_evaluations are per-run values the caller fills
-  // in from its MipSolution / ChoiceSolution; they are not global.
+  // nodes / bound_evaluations are per-run values the caller fills in
+  // from its Recommendation / ChoiceSolution; they are not global.
   return activity;
 }
 
@@ -133,9 +133,9 @@ std::string RenderSolverActivity(const SolverActivity& activity) {
         static_cast<long long>(c.singular_repairs),
         static_cast<long long>(c.cold_restarts));
   }
-  if (activity.mip_nodes > 0 || activity.bound_evaluations > 0) {
+  if (activity.nodes > 0 || activity.bound_evaluations > 0) {
     out += StrFormat("B&B nodes %lld, bound evaluations %lld\n",
-                     static_cast<long long>(activity.mip_nodes),
+                     static_cast<long long>(activity.nodes),
                      static_cast<long long>(activity.bound_evaluations));
   }
   const lp::PresolveStats& ps = activity.presolve;

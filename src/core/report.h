@@ -59,7 +59,7 @@ std::string RenderTuningReport(const TuningReport& report, const Inum& inum,
 /// counters around a run and report the delta next to the timings.
 struct SolverActivity {
   lp::SolverCounters lp;            ///< revised-simplex pivot/pricing work
-  int64_t mip_nodes = 0;            ///< optional: branch-and-bound nodes
+  int64_t nodes = 0;                ///< optional: structured-solver B&B nodes
   int64_t bound_evaluations = 0;    ///< optional: structured-solver bounds
   /// Optional (filled from a Recommendation/ChoiceSolution): presolve
   /// reductions and the two root bounds side by side. Rendered only

@@ -573,13 +573,15 @@ Recommendation AdvisorSession::TuneInternal(const ConstraintSet& constraints,
       // Delta budget: the BIP kept its structure, so the solver only
       // has to account for the re-weighting (§4.2, Fig. 6(b)) and the
       // subgradient restarts from the previous duals (or the warm root
-      // LP's) — a short polish suffices. When the root LP does run, the
-      // retained exit basis in `resolve_` seeds it through the *dual*
-      // simplex (the old optimum stays dual feasible under re-weighted
-      // bounds), so the re-tune skips primal phase 1 entirely. A
-      // structural change skips all of this and re-solves with the full
-      // cold budget (the resolve state falls back automatically inside
-      // SolveChoiceProblem).
+      // LP's) — a short polish suffices. When the root LP does run (a
+      // budget or cap change, below), the retained exit basis in
+      // `resolve_` seeds it through the *dual* simplex. Phase 1 is
+      // skipped only when the objective is unchanged: the old optimum
+      // stays dual feasible under new bounds, but a re-weighting breaks
+      // its dual feasibility, and with both changes the dual entry
+      // falls back to the primal phases. A structural change skips all
+      // of this and re-solves with the full cold budget (the resolve
+      // state falls back automatically inside SolveChoiceProblem).
       so.node_limit = std::max<int64_t>(500, options_.tuning.node_limit / 8);
       so.lagrangian_iterations = std::max(40, so.lagrangian_iterations / 8);
       if (std::isfinite(options_.tuning.time_limit_seconds)) {

@@ -1362,23 +1362,26 @@ ChoiceSolution ChoiceSolver::Solve(const ChoiceSolveOptions& options) {
     if (BuildRootLp(&model, &layout, options.root_lp_max_rows)) {
       result.root_lp_rows = model.num_rows();
       // A retained basis from a previous retune round (delta re-tuning
-      // in core/session.cc) stays dual feasible under the perturbed
-      // objective/bounds — enter through the dual simplex and skip
-      // primal phase 1; a fresh solve takes the primal phases.
+      // in core/session.cc) enters through the dual simplex. A budget
+      // or cap change breaks the old basis's primal feasibility but not
+      // its dual feasibility, so with an unchanged objective the dual
+      // simplex repairs it and primal phase 1 never runs. A re-weighted
+      // objective breaks dual feasibility too; then the dual entry falls
+      // back to the primal phases from the imported basis. A fresh
+      // solve takes the primal phases.
       LpOptions lp_options;
       if (options.root_basis_seed != nullptr &&
           !options.root_basis_seed->empty()) {
         lp_options.entry = SimplexEntry::kDual;
       }
-      LpSolution lp = SolveLp(model, lp_options, nullptr, nullptr,
-                              options.root_basis_seed);
+      LpSolution lp = SolveLp(model, lp_options, options.root_basis_seed);
       if (lp.status.ok() && !lp.stats.certified) {
         // The bound, the seeded multipliers, and reduced-cost fixing
         // all cut the search permanently, so an uncertified root
         // solution gets one escalated re-solve: cold, primal entry,
         // fresh safeguard headroom.
         LpOptions retry;  // primal entry, no warm basis
-        LpSolution again = SolveLp(model, retry, nullptr, nullptr, nullptr);
+        LpSolution again = SolveLp(model, retry);
         if (again.status.ok()) lp = std::move(again);
       }
       result.root_lp_stats = lp.stats;

@@ -22,14 +22,25 @@
 #include <vector>
 
 #include "common/status.h"
-#include "lp/branch_and_bound.h"
 #include "lp/model.h"
+#include "lp/simplex.h"
 
 namespace cophy::lp {
 
 struct ChoiceResolveState;  // presolve.h: cross-solve delta-reuse state
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Progress snapshot passed to the solve callback (drives the paper's
+/// Fig. 6(a) feedback curve and early termination).
+struct MipProgress {
+  double seconds = 0;  ///< elapsed wall-clock time
+  double incumbent = kInf;
+  double lower_bound = -kInf;
+  double gap = kInf;  ///< relative
+  int64_t nodes = 0;
+  bool has_incumbent = false;
+};
 
 /// One access option of a slot. `index` is a solver-local dense index
 /// id, or kBaseOption for the always-available base path (I∅).
@@ -94,8 +105,8 @@ struct ChoiceProblem {
   int64_t NumOptionEntries() const;
 };
 
-/// Solve options (mirrors MipOptions; defaults match the paper's
-/// experimental setup: stop at the first solution within 5% of optimal).
+/// Solve options (defaults match the paper's experimental setup: stop at
+/// the first solution within 5% of optimal).
 struct ChoiceSolveOptions {
   double gap_target = 0.05;
   double time_limit_seconds = kInf;

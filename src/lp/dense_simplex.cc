@@ -96,13 +96,12 @@ IterStatus Iterate(Tableau& t, const std::vector<double>& c) {
 
 }  // namespace
 
-LpSolution SolveLpDense(const Model& model, const std::vector<double>* var_lower,
-                        const std::vector<double>* var_upper) {
+LpSolution SolveLpDense(const Model& model) {
   const int nv = model.num_variables();
   std::vector<double> lo(nv), hi(nv);
   for (int i = 0; i < nv; ++i) {
-    lo[i] = var_lower != nullptr ? (*var_lower)[i] : model.variable(i).lower;
-    hi[i] = var_upper != nullptr ? (*var_upper)[i] : model.variable(i).upper;
+    lo[i] = model.variable(i).lower;
+    hi[i] = model.variable(i).upper;
     if (lo[i] > hi[i]) {
       LpSolution bad;
       bad.status = Status::Infeasible("contradictory variable bounds");

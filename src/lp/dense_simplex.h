@@ -6,18 +6,13 @@
 #ifndef COPHY_LP_DENSE_SIMPLEX_H_
 #define COPHY_LP_DENSE_SIMPLEX_H_
 
-#include <vector>
-
 #include "lp/simplex.h"
 
 namespace cophy::lp {
 
 /// Solves the LP relaxation of `model` with the dense tableau method.
-/// Semantics match SolveLp (bound overrides included); only the
-/// algorithm differs.
-LpSolution SolveLpDense(const Model& model,
-                        const std::vector<double>* var_lower = nullptr,
-                        const std::vector<double>* var_upper = nullptr);
+/// Semantics match SolveLp; only the algorithm differs.
+LpSolution SolveLpDense(const Model& model);
 
 }  // namespace cophy::lp
 

@@ -17,9 +17,9 @@
 // the columns intersecting rho's nonzero rows (CSR row walk), so a
 // pivot costs O(nnz of the active rows), not O(nnz of the model).
 //
-// Primal phase 2 prices with devex by default (reference-framework
-// weights updated from the same sparse pivot row, reset when they
-// outgrow their trusted range), confirms every candidate against its
+// Primal phase 2 prices with devex (reference-framework weights
+// updated from the same sparse pivot row, reset when they outgrow
+// their trusted range), confirms every candidate against its
 // exact reduced cost c_j - c_B . w after FTRAN, and falls back to
 // Bland's rule late in the iteration budget to guard against cycling.
 //
@@ -29,15 +29,15 @@
 // basic prices with sigma = -1 and blocks the ratio test at its lower
 // bound, an infeasible-above basic with sigma = +1 at its upper bound.
 //
-// The dual simplex (SolveLp with SimplexEntry::kDual) is the
-// branch-and-bound node path: a parent-optimal basis re-imported under
-// child bounds is still dual feasible (the branching variable was
-// basic), so the dual ratio test walks the primal infeasibility out in
-// a few pivots with *zero* primal phase-1 work. Boxed nonbasics whose
-// reduced cost has the wrong sign are repaired by bound flips on
-// entry; the dual ratio test itself takes bound-flipping long steps
-// (skipping boxed blockers by flipping them, absorbing |alpha| * range
-// of infeasibility each) before committing to an entering column.
+// The dual simplex (SolveLp with SimplexEntry::kDual) is the warm
+// re-solve path: an optimal basis re-imported under tightened bounds or
+// a changed rhs (same objective) is still dual feasible, so the dual
+// ratio test walks the primal infeasibility out in a few pivots with
+// *zero* primal phase-1 work. Boxed nonbasics whose reduced cost has
+// the wrong sign are repaired by bound flips on entry; the dual ratio
+// test itself takes bound-flipping long steps (skipping boxed blockers
+// by flipping them, absorbing |alpha| * range of infeasibility each)
+// before committing to an entering column.
 #include "lp/simplex.h"
 
 #include <algorithm>
@@ -57,7 +57,7 @@ constexpr double kLeaveEps = 1e-7;  // min |w_r| to accept a pivot element
 constexpr double kDualEps = 1e-7;
 // The dual simplex tolerates wrong-sign reduced costs up to this band
 // on columns it cannot flip-repair (free / one-sided): recomputing d on
-// a warm parent basis routinely lands a hair past kDualEps, and bailing
+// a warm imported basis routinely lands a hair past kDualEps, and bailing
 // out to primal phase 1 over recompute noise throws the warm start
 // away. Within the band the dual solve proceeds (the column surfaces as
 // a zero-ratio candidate and is fixed by a degenerate pivot); the final
@@ -127,9 +127,7 @@ double Jitter(int j, int round) {
 
 class RevisedSimplex {
  public:
-  RevisedSimplex(const Model& model, const LpOptions& options,
-                 const std::vector<double>& lo_struct,
-                 const std::vector<double>& hi_struct)
+  RevisedSimplex(const Model& model, const LpOptions& options)
       : model_(model),
         options_(options),
         nv_(model.num_variables()),
@@ -202,8 +200,8 @@ class RevisedSimplex {
       row_scale_[r] = big > 0 ? 1.0 / big : 1.0;
     }
     for (int j = 0; j < nv_; ++j) {
-      lo_[j] = lo_struct[j] / col_scale_[j];
-      hi_[j] = hi_struct[j] / col_scale_[j];
+      lo_[j] = model.variable(j).lower / col_scale_[j];
+      hi_[j] = model.variable(j).upper / col_scale_[j];
       cost_[j] = model.variable(j).objective * col_scale_[j];
     }
     for (int r = 0; r < m_; ++r) {
@@ -289,7 +287,7 @@ class RevisedSimplex {
   /// Optimizes the real objective from a primal-feasible basis.
   IterStatus Phase2(LpSolveStats* stats) {
     RecomputeReducedCosts();
-    if (options_.pricing == Pricing::kDevex) devex_w_.assign(n_, 1.0);
+    devex_w_.assign(n_, 1.0);
     return Iterate(/*phase1=*/false, stats);
   }
 
@@ -1124,7 +1122,7 @@ class RevisedSimplex {
   /// flip-repairable: beyond kDualRepairEps the function returns false
   /// and the basis stays valid (any flips already applied are legal
   /// nonbasic states) for the primal phases. Within kDualRepairEps —
-  /// recompute noise on an optimal parent basis, the common warm-start
+  /// recompute noise on an optimal imported basis, the common warm-start
   /// case — the dual solve proceeds anyway: such a column surfaces in
   /// the ratio test as a zero-ratio candidate and is repaired by a
   /// degenerate pivot, and dual_wrong_sign_ records the worst residual
@@ -1294,7 +1292,6 @@ class RevisedSimplex {
   /// from the sparse pivot row, with a periodic full refresh.
   IterStatus Iterate(bool phase1, LpSolveStats* stats) {
     const int64_t iter_limit = 200 * (static_cast<int64_t>(m_) + n_) + 2000;
-    const bool use_devex = !phase1 && options_.pricing == Pricing::kDevex;
     int64_t pivots_since_refresh = 0;
     int64_t pivots_since_factor = 0;
     for (int64_t iter = 0; iter < iter_limit; ++iter) {
@@ -1333,11 +1330,11 @@ class RevisedSimplex {
         pivots_since_refresh = 0;
       }
 
-      // --- Pricing: pick the entering variable. Devex scores
-      // d^2 / weight (approximate steepest edge); Dantzig scores |d|.
-      // Phase 2 scans the incrementally-maintained candidate list
-      // (compacting stale entries in place); phase 1 re-prices d every
-      // iteration and Bland needs the lowest eligible index, so both
+      // --- Pricing: pick the entering variable. Phase 2 scores devex
+      // d^2 / weight (approximate steepest edge) over the
+      // incrementally-maintained candidate list (compacting stale
+      // entries in place); phase 1 scores |d| and re-prices d every
+      // iteration, and Bland needs the lowest eligible index, so both
       // scan every column. ---
       int enter = -1;
       double best_score = 0.0;
@@ -1352,18 +1349,11 @@ class RevisedSimplex {
             continue;
           }
           price_cand_[keep++] = j;
-          const double dj = d_[j];
-          if (use_devex) {
-            // dj^2 / w_j > best is evaluated cross-multiplied so the
-            // divide only runs when the leader actually changes.
-            const double dj2 = dj * dj;
-            if (dj2 > best_score * devex_w_[j]) {
-              best_score = dj2 / devex_w_[j];
-              enter = j;
-              dir = jdir;
-            }
-          } else if (std::abs(dj) > best_score) {
-            best_score = std::abs(dj);
+          // dj^2 / w_j > best is evaluated cross-multiplied so the
+          // divide only runs when the leader actually changes.
+          const double dj2 = d_[j] * d_[j];
+          if (dj2 > best_score * devex_w_[j]) {
+            best_score = dj2 / devex_w_[j];
             enter = j;
             dir = jdir;
           }
@@ -1378,16 +1368,8 @@ class RevisedSimplex {
             dir = jdir;
             break;
           }
-          const double dj = d_[j];
-          if (use_devex) {
-            const double dj2 = dj * dj;
-            if (dj2 > best_score * devex_w_[j]) {
-              best_score = dj2 / devex_w_[j];
-              enter = j;
-              dir = jdir;
-            }
-          } else if (std::abs(dj) > best_score) {
-            best_score = std::abs(dj);
+          if (std::abs(d_[j]) > best_score) {
+            best_score = std::abs(d_[j]);
             enter = j;
             dir = jdir;
           }
@@ -1587,26 +1569,24 @@ class RevisedSimplex {
         BtranUnit(leave);
         ComputePivotRow();
         const double theta = d_[enter] / w_[leave];
-        if (use_devex) {
-          double gamma = devex_w_[enter];
-          if (gamma > kDevexWeightCap) {
-            // The reference framework has drifted too far from the
-            // current nonbasic set for the weights to be trusted:
-            // restart devex from here.
-            std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
-            gamma = 1.0;
-            stats->devex_resets += 1;
-            GlobalSolverCounters().devex_resets.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          const double wratio = gamma / (w_[leave] * w_[leave]);
-          for (const int j : alpha_touched_) {
-            if (vstat_[j] == VarStatus::kBasic || j == enter) continue;
-            const double cand = alpha_[j] * alpha_[j] * wratio;
-            if (cand > devex_w_[j]) devex_w_[j] = cand;
-          }
-          devex_w_[leaving_var] = std::max(wratio, 1.0);
+        double gamma = devex_w_[enter];
+        if (gamma > kDevexWeightCap) {
+          // The reference framework has drifted too far from the
+          // current nonbasic set for the weights to be trusted:
+          // restart devex from here.
+          std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
+          gamma = 1.0;
+          stats->devex_resets += 1;
+          GlobalSolverCounters().devex_resets.fetch_add(
+              1, std::memory_order_relaxed);
         }
+        const double wratio = gamma / (w_[leave] * w_[leave]);
+        for (const int j : alpha_touched_) {
+          if (vstat_[j] == VarStatus::kBasic || j == enter) continue;
+          const double cand = alpha_[j] * alpha_[j] * wratio;
+          if (cand > devex_w_[j]) devex_w_[j] = cand;
+        }
+        devex_w_[leaving_var] = std::max(wratio, 1.0);
         if (theta != 0.0) {
           for (const int j : alpha_touched_) {
             if (vstat_[j] == VarStatus::kBasic || j == enter) continue;
@@ -1846,8 +1826,6 @@ SolverCounters SolverCountersSince(const SolverCounters& snapshot) {
 }
 
 LpSolution SolveLp(const Model& model, const LpOptions& options,
-                   const std::vector<double>* var_lower,
-                   const std::vector<double>* var_upper,
                    const LpBasis* warm_basis) {
   if (!model.input_status().ok()) {
     // A NaN/Inf slipped into the model at build time; refuse to run it
@@ -1856,17 +1834,15 @@ LpSolution SolveLp(const Model& model, const LpOptions& options,
     bad.status = model.input_status();
     return bad;
   }
-  const int nv = model.num_variables();
-  std::vector<double> lo(nv), hi(nv);
-  for (int i = 0; i < nv; ++i) {
-    lo[i] = var_lower != nullptr ? (*var_lower)[i] : model.variable(i).lower;
-    hi[i] = var_upper != nullptr ? (*var_upper)[i] : model.variable(i).upper;
-    if (std::isnan(lo[i]) || std::isnan(hi[i])) {
+  // Bounds written straight through Model::variable() bypass the
+  // latched validation of SetVariableBounds; check them here too.
+  for (const Variable& v : model.variables()) {
+    if (std::isnan(v.lower) || std::isnan(v.upper)) {
       LpSolution bad;
-      bad.status = Status::InvalidArgument("NaN variable bound override");
+      bad.status = Status::InvalidArgument("NaN variable bound");
       return bad;
     }
-    if (lo[i] > hi[i]) {
+    if (v.lower > v.upper) {
       LpSolution bad;
       bad.status = Status::Infeasible("contradictory variable bounds");
       return bad;
@@ -1876,7 +1852,7 @@ LpSolution SolveLp(const Model& model, const LpOptions& options,
   AtomicSolverCounters& counters = GlobalSolverCounters();
   counters.lp_solves.fetch_add(1, std::memory_order_relaxed);
 
-  RevisedSimplex simplex(model, options, lo, hi);
+  RevisedSimplex simplex(model, options);
   LpSolution sol;
   const auto finish = [&]() -> LpSolution {
     simplex.ExportFactorStats(&sol.stats);
@@ -1888,7 +1864,7 @@ LpSolution SolveLp(const Model& model, const LpOptions& options,
     sol.x = simplex.ExtractPrimal();
     sol.objective = model.ObjectiveValue(sol.x);
     sol.basis = simplex.ExportBasis();
-    if (options.want_duals) simplex.ExportDuals(&sol.duals, &sol.reduced_costs);
+    simplex.ExportDuals(&sol.duals, &sol.reduced_costs);
     return finish();
   };
   // The last rung of the recovery ladder: rebuild from the slack basis
@@ -1998,14 +1974,6 @@ LpSolution SolveLp(const Model& model, const LpOptions& options,
   }
 
   return succeed();
-}
-
-LpSolution SolveLp(const Model& model, const std::vector<double>* var_lower,
-                   const std::vector<double>* var_upper,
-                   const LpBasis* warm_basis, bool want_duals) {
-  LpOptions options;
-  options.want_duals = want_duals;
-  return SolveLp(model, options, var_lower, var_upper, warm_basis);
 }
 
 }  // namespace cophy::lp

@@ -1,10 +1,11 @@
-// A sparse bounded-variable revised simplex for the LP relaxations
-// solved by the generic MIP path. Variable bounds `lo <= x <= hi` are
-// handled implicitly through nonbasic-at-lower / nonbasic-at-upper
-// states (no synthetic bound rows), pricing walks the model's CSC
-// column views, and the reduced-cost row is maintained incrementally
-// from the sparse pivot row across pivots. The basis is held as a
-// sparse LU factorization (lp/lu_factor.h: Markowitz-ordered,
+// A sparse bounded-variable revised simplex for the LP relaxations the
+// advisor solves: the structured solver's root LP (ChoiceSolver in
+// lp/choice_problem.h) and the differential tests. Variable bounds
+// `lo <= x <= hi` are handled implicitly through nonbasic-at-lower /
+// nonbasic-at-upper states (no synthetic bound rows), pricing walks the
+// model's CSC column views, and the reduced-cost row is maintained
+// incrementally from the sparse pivot row across pivots. The basis is
+// held as a sparse LU factorization (lp/lu_factor.h: Markowitz-ordered,
 // threshold-pivoted, Forrest–Tomlin updated per pivot, refactorized on
 // a fill/stability trigger), so FTRAN/BTRAN cost O(factor nnz) instead
 // of O(rows^2).
@@ -13,19 +14,19 @@
 //  - Primal (default): artificial-free phase 1 restores primal
 //    feasibility of an arbitrary starting basis by minimizing the
 //    total bound violation of the basic variables, then phase 2
-//    optimizes. Phase-2 pricing is devex by default (reference-
-//    framework weights with cheap resets, LpOptions::pricing switches
-//    back to Dantzig), every candidate is confirmed against its exact
+//    optimizes. Phase 2 prices with devex (reference-framework weights
+//    with cheap resets), every candidate is confirmed against its exact
 //    reduced cost after FTRAN, and a Bland fallback guards against
 //    cycling.
 //  - Dual: from a dual-feasible basis (wrong-sign reduced costs on
 //    boxed nonbasics are repaired by bound flips first), a dual ratio
 //    test with bound-flipping long steps drives the primal
 //    infeasibility out without ever entering primal phase 1. This is
-//    the branch-and-bound node path: a parent-optimal basis stays dual
-//    feasible under child bound changes, so node re-solves cost a few
-//    dual pivots. A start that cannot be made dual feasible falls back
-//    to the primal phases transparently.
+//    the warm root-LP path: a basis exported by an earlier solve of
+//    the same LP stays dual feasible as long as the objective is
+//    unchanged, so a bound or rhs change costs a few dual pivots. A
+//    start that cannot be made dual feasible (e.g. a re-weighted
+//    objective) falls back to the primal phases transparently.
 //
 // The old dense tableau implementation survives as SolveLpDense in
 // lp/dense_simplex.h (differential-test oracle and benchmark baseline).
@@ -58,20 +59,6 @@ struct LpBasis {
   bool empty() const { return variables.empty() && slacks.empty(); }
 };
 
-/// Phase-2 pricing rule for the primal simplex.
-enum class Pricing : int8_t {
-  /// Largest reduced-cost violation. Cheap per pivot, but blind to the
-  /// steepness of the resulting edge — degenerate BIP relaxations pay
-  /// for it in pivot count.
-  kDantzig = 0,
-  /// Devex (Harris '73): approximate steepest-edge weights maintained
-  /// from the pivot row against a reference framework, reset to the
-  /// current nonbasic set whenever the weights blow past their trusted
-  /// range. Nearly Dantzig-cheap per pivot, close to steepest-edge in
-  /// pivot count. The default.
-  kDevex = 1,
-};
-
 /// How SolveLp enters the solve.
 enum class SimplexEntry : int8_t {
   /// Phase 1 (restore primal feasibility), then phase 2.
@@ -79,8 +66,8 @@ enum class SimplexEntry : int8_t {
   /// Dual simplex from the (possibly flip-repaired) starting basis;
   /// falls back to the primal phases if the basis cannot be made dual
   /// feasible. The right entry when the basis of a *related* solve is
-  /// re-imported under changed bounds or rhs: it skips primal phase 1
-  /// entirely.
+  /// re-imported under changed bounds or rhs but the same objective:
+  /// it then skips primal phase 1 entirely.
   kDual = 1,
 };
 
@@ -99,19 +86,14 @@ enum class LpScaling : int8_t {
 
 /// Knobs for one SolveLp call.
 struct LpOptions {
-  Pricing pricing = Pricing::kDevex;
   SimplexEntry entry = SimplexEntry::kPrimal;
-  /// Whether the final row duals / reduced costs are exported (one
-  /// extra BTRAN + pricing pass; node LPs that never read them pass
-  /// false).
-  bool want_duals = true;
   LpScaling scaling = LpScaling::kGeometricMean;
   /// Master switch for the numerical self-defense layer: the
   /// stall/cycling watchdog, degeneracy perturbation, the recovery
   /// ladder (Bland / Markowitz-threshold / slack-repair / cold
   /// restart), and solution certification with iterative refinement.
-  /// Off is the ablation baseline the safeguard-overhead CI gate
-  /// compares against.
+  /// Off is the baseline the safeguard-overhead CI gate compares
+  /// against.
   bool safeguards = true;
   /// Degenerate pivots in a row before the watchdog declares a stall
   /// and escalates (perturb, then Bland). <= 0 picks an adaptive
@@ -138,8 +120,8 @@ struct LpSolveStats {
   // Numerical-safeguard accounting (LpOptions::safeguards).
   /// The independent unscaled verification pass (primal/dual
   /// feasibility, complementarity, objective match) accepted the
-  /// solution. Only ever true on an Ok status with safeguards on;
-  /// branch-and-bound refuses to prune on uncertified bounds.
+  /// solution. Only ever true on an Ok status with safeguards on; the
+  /// structured solver uses no uncertified root-LP bound.
   bool certified = false;
   double primal_residual = 0.0;  ///< worst relative row/bound violation, unscaled
   double dual_residual = 0.0;    ///< worst relative reduced-cost sign violation
@@ -250,23 +232,16 @@ SolverCounters SolverCountersSnapshot();
 SolverCounters SolverCountersSince(const SolverCounters& snapshot);
 
 /// Solves the LP relaxation of `model` (integrality dropped). Variable
-/// bounds are honored. `var_lower`/`var_upper` optionally override the
-/// model bounds (used by branch-and-bound to fix variables).
+/// bounds are the model's own; to solve under tightened bounds, tighten
+/// a copy with Model::SetVariableBounds (scaling reads only the matrix
+/// coefficients, so a warm basis sees the same scaled problem).
 /// `warm_basis`, if given and structurally compatible, seeds the solve
 /// with that basis; an unusable basis silently falls back to a cold
-/// start from the slack basis. Pricing rule, entry (primal phases vs
-/// dual simplex), and dual export are set through `options`.
-LpSolution SolveLp(const Model& model, const LpOptions& options,
-                   const std::vector<double>* var_lower = nullptr,
-                   const std::vector<double>* var_upper = nullptr,
+/// start from the slack basis. The entry (primal phases vs dual
+/// simplex) is set through `options`. Row duals and reduced costs are
+/// always exported.
+LpSolution SolveLp(const Model& model, const LpOptions& options = {},
                    const LpBasis* warm_basis = nullptr);
-
-/// Positional convenience overload at default pricing/entry.
-LpSolution SolveLp(const Model& model,
-                   const std::vector<double>* var_lower = nullptr,
-                   const std::vector<double>* var_upper = nullptr,
-                   const LpBasis* warm_basis = nullptr,
-                   bool want_duals = true);
 
 }  // namespace cophy::lp
 

@@ -1,16 +1,19 @@
 // Tests for core/bipgen: Theorem-1 BIP construction. The central
 // property: the literal y/x/z Model and the structured ChoiceProblem
-// describe the same optimization problem — solving both on small
-// instances yields the same optimum.
+// describe the same optimization problem — on small instances every
+// index configuration costs the same in both, and so does the optimum.
+// The literal model also serves as the realistic instance for the LP
+// layer's warm dual re-solve contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "optimizer/simulator.h"
 #include "catalog/catalog.h"
 #include "core/bipgen.h"
 #include "index/candidates.h"
-#include "lp/branch_and_bound.h"
+#include "lp/simplex.h"
 #include "workload/generator.h"
 
 namespace cophy {
@@ -150,15 +153,92 @@ TEST_F(BipGenTest, ModelAndChoiceProblemAgreeOnOptimum) {
   const lp::ChoiceSolution s1 = structured.Solve(copts);
   ASSERT_TRUE(s1.status.ok());
 
+  // Exhaustive oracle over z in {0,1}^n: BuildModel emits z first, in
+  // candidate order. With z fixed, the remaining y/x LP has an integral
+  // optimum (each query picks its cheapest available plan), so the LP
+  // must be solvable exactly when the configuration is feasible, at
+  // exactly the structured objective.
   const lp::Model m = BuildModel(*inum_, small, cs);
-  lp::MipOptions mopts;
-  mopts.gap_target = 0.0;
-  mopts.node_limit = 500000;
-  const lp::MipSolution s2 = SolveMip(m, mopts);
-  ASSERT_TRUE(s2.status.ok()) << s2.status.ToString();
+  const int n = static_cast<int>(small.size());
+  double best = lp::kInf;
+  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+    std::vector<uint8_t> z(n);
+    lp::Model fixed = m;
+    for (int a = 0; a < n; ++a) {
+      z[a] = (mask >> a) & 1;
+      fixed.SetVariableBounds(a, z[a], z[a]);
+    }
+    const lp::LpSolution lp = lp::SolveLp(fixed);
+    const bool feasible = p.Feasible(z);
+    ASSERT_EQ(lp.status.ok(), feasible)
+        << "mask " << mask << ": " << lp.status.ToString();
+    if (!feasible) continue;
+    EXPECT_TRUE(fixed.IsFeasible(lp.x)) << "fractional optimum, mask " << mask;
+    const double objective = p.Objective(z);
+    EXPECT_NEAR(lp.objective, objective, 1e-6 + 1e-9 * std::abs(objective))
+        << "mask " << mask;
+    best = std::min(best, objective);
+  }
+  EXPECT_NEAR(s1.objective, best, 1e-6 + 1e-9 * std::abs(best));
+}
 
-  EXPECT_NEAR(s1.objective, s2.objective,
-              1e-5 + 1e-6 * std::abs(s1.objective));
+TEST_F(BipGenTest, DualEntryChildrenOfTheRootRunZeroPhase1Pivots) {
+  // The warm dual re-solve contract on a real Theorem-1 BIP with a
+  // binding budget: branching on a fractional binary only tightens its
+  // bounds, so the root-optimal basis stays dual feasible for both
+  // children. Re-entered through the dual simplex, each child must run
+  // zero primal phase-1 pivots and land on a cold solve's objective.
+  //
+  // The instance is the LP benchmark's (bench_micro's BipLpEnv: full
+  // TPC-H scale, 2 statements, 8 single-column candidates, 570
+  // binaries) with the budget at 30% of the candidates' total size, so
+  // the root LP is fractional.
+  const Catalog cat = MakeTpchCatalog(1.0, 0.0);
+  IndexPool pool;
+  SystemSimulator sim(&cat, &pool, CostModel::SystemA());
+  WorkloadOptions o;
+  o.num_statements = 2;
+  o.seed = 7;
+  const Workload w = MakeHomogeneousWorkload(cat, o);
+  CandidateOptions copts;
+  copts.max_key_columns = 1;
+  std::vector<IndexId> cands = GenerateCandidates(w, cat, copts, pool);
+  if (cands.size() > 8) cands.resize(8);
+  Inum inum(&sim);
+  ASSERT_TRUE(inum.Prepare(w, cands).ok());
+  double total = 0;
+  for (IndexId id : cands) total += IndexSizeBytes(pool[id], cat);
+  ConstraintSet cs;
+  cs.SetStorageBudget(0.3 * total);
+  const lp::Model m = BuildModel(inum, cands, cs);
+  const lp::LpSolution root = lp::SolveLp(m);
+  ASSERT_TRUE(root.status.ok()) << root.status.ToString();
+
+  lp::LpOptions dual_entry;
+  dual_entry.entry = lp::SimplexEntry::kDual;
+  int dual_entered = 0;
+  for (int j = 0; j < m.num_variables(); ++j) {
+    const double v = root.x[j];
+    if (!m.variable(j).is_integer || std::abs(v - std::round(v)) < 1e-6) {
+      continue;
+    }
+    for (const double side : {std::floor(v), std::ceil(v)}) {
+      lp::Model child = m;
+      child.SetVariableBounds(j, side, side);
+      const lp::LpSolution cold = lp::SolveLp(child);
+      const lp::LpSolution warm = lp::SolveLp(child, dual_entry, &root.basis);
+      ASSERT_EQ(warm.status.code(), cold.status.code())
+          << "var " << j << " = " << side << ": " << warm.status.ToString();
+      EXPECT_TRUE(warm.stats.warm_started);
+      EXPECT_EQ(warm.stats.phase1_pivots, 0) << "var " << j << " = " << side;
+      if (warm.stats.dual_entered) ++dual_entered;
+      if (!cold.status.ok()) continue;
+      EXPECT_NEAR(warm.objective, cold.objective,
+                  1e-9 + 1e-9 * std::abs(cold.objective))
+          << "var " << j << " = " << side;
+    }
+  }
+  EXPECT_GE(dual_entered, 4);
 }
 
 TEST_F(BipGenTest, QueryCapsPropagate) {

@@ -1,11 +1,11 @@
 // Differential fuzz harness for the sparse-LU revised simplex
 // (lp::SolveLp) against the retained dense tableau oracle
-// (lp::SolveLpDense), run over the full pricing x entry matrix
-// ({Dantzig, devex} x {primal phases, dual simplex}) on the same seed
-// set. Each seed generates a random bounded LP — mixed <=/>=/= rows,
-// fixed / boxed / upper-unbounded / truly-free variables, plus injected
+// (lp::SolveLpDense), run under both entries (primal phases, dual
+// simplex; phase 2 always prices with devex) on the same seed set.
+// Each seed generates a random bounded LP — mixed <=/>=/= rows, fixed /
+// boxed / upper-unbounded / truly-free variables, plus injected
 // degenerate and rank-deficient structure (duplicated, scaled, and
-// summed rows) — and asserts, per combination:
+// summed rows) — and asserts, per entry:
 //
 //   1. status agreement (Ok / Infeasible / Unbounded);
 //   2. objectives within 1e-6 (relative) when both solve;
@@ -14,14 +14,21 @@
 //      exported row duals and reduced costs, on every solved instance;
 //   5. re-importing the revised solver's own basis warm-starts to the
 //      same optimum with zero pivots — through the dual simplex on the
-//      dual-entry combinations, which must also report zero *dual*
-//      pivots on an already-optimal basis.
+//      dual-entry cases, which must also report zero *dual* pivots on
+//      an already-optimal basis;
+//   6. after reweighting the objective by random positive factors and
+//      shifting one rhs, a warm re-solve from that basis under either
+//      entry agrees with a cold solve of the perturbed LP (status, and
+//      objective within 1e-6), and every Ok result certifies. This is
+//      the warm root-LP import a retune makes after a re-weighting plus
+//      a budget change: the old basis is in general neither primal nor
+//      dual feasible, so dual entry must fall back cleanly.
 //
-// Dual-entry combinations exercise every dual-simplex exit: cold starts
+// Dual-entry cases exercise every dual-simplex exit: cold starts
 // are usually not dual feasible (primal fallback), re-imports are
 // (pure dual solve), and infeasible instances must surface as dual
 // rays. The seed count is env-overridable via COPHY_LP_FUZZ_SEEDS
-// (mirroring COPHY_FAULT_SWEEP_SEEDS; default 64 per combination).
+// (mirroring COPHY_FAULT_SWEEP_SEEDS; default 64 per entry).
 //
 // The oracle cannot shift truly-free variables (it rewrites x = lo + x'
 // with finite lo), so the harness hands it the classic x = x+ - x-
@@ -193,6 +200,33 @@ Model SplitFreeVariables(const Model& m, std::vector<int>* split_of) {
   return t;
 }
 
+/// The same LP with every objective coefficient scaled by a random
+/// positive factor in {0.5, 1, 1.5, 2} and one row's rhs shifted by a
+/// nonzero integer in [-2, 2] (a re-weighting plus a budget change, in
+/// the advisor's terms). Factors and shifts keep the data on a
+/// half-integer grid, so status verdicts stay well defined.
+Model PerturbedLp(const Model& m, Rng& rng) {
+  Model t;
+  for (int j = 0; j < m.num_variables(); ++j) {
+    const Variable& v = m.variable(j);
+    const double factor = 0.5 * static_cast<double>(1 + rng.Uniform(4));
+    t.AddVariable(v.lower, v.upper, factor * v.objective, false);
+  }
+  const int shifted =
+      m.num_rows() > 0 ? static_cast<int>(rng.Uniform(m.num_rows())) : -1;
+  int64_t shift = rng.UniformInRange(-2, 1);
+  if (shift >= 0) ++shift;  // {-2, -1, 1, 2}
+  for (int r = 0; r < m.num_rows(); ++r) {
+    const RowView rv = m.row(r);
+    Row row;
+    row.sense = rv.sense;
+    row.rhs = rv.rhs + (r == shifted ? static_cast<double>(shift) : 0.0);
+    for (int k = 0; k < rv.nnz; ++k) row.terms.push_back({rv.cols[k], rv.vals[k]});
+    t.AddRow(std::move(row));
+  }
+  return t;
+}
+
 /// CI scaling knob, mirroring COPHY_FAULT_SWEEP_SEEDS.
 int FuzzSeedCount() {
   if (const char* env = std::getenv("COPHY_LP_FUZZ_SEEDS")) {
@@ -201,18 +235,30 @@ int FuzzSeedCount() {
   return 64;
 }
 
-/// Parameter: (seed, combination) with combination bit 0 = pricing
-/// (0 Dantzig, 1 devex) and bit 1 = entry (0 primal, 1 dual).
+/// Case code: bit 1 is the entry (0 primal, 1 dual). Bit 0 is set on
+/// every case; it stands for the devex phase-2 pricing all solves use,
+/// so the case names read DevexPrimal / DevexDual.
+constexpr int kDevexPrimal = 1;
+constexpr int kDevexDual = 3;
+
+LpOptions ComboOptions(int combo) {
+  LpOptions options;
+  options.entry =
+      (combo & 2) != 0 ? SimplexEntry::kDual : SimplexEntry::kPrimal;
+  return options;
+}
+
+const char* ComboLabel(int combo) {
+  return combo == kDevexDual ? "DevexDual" : "DevexPrimal";
+}
+
+/// Parameter: (seed, case code).
 class LpFuzzTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(LpFuzzTest, RevisedMatchesDenseOracle) {
   const int seed = std::get<0>(GetParam());
-  const int combo = std::get<1>(GetParam());
-  LpOptions options;
-  options.pricing = (combo & 1) != 0 ? Pricing::kDevex : Pricing::kDantzig;
-  options.entry =
-      (combo & 2) != 0 ? SimplexEntry::kDual : SimplexEntry::kPrimal;
+  const LpOptions options = ComboOptions(std::get<1>(GetParam()));
 
   Rng rng(90000 + seed);
   const Model m = RandomLp(rng);
@@ -262,8 +308,7 @@ TEST_P(LpFuzzTest, RevisedMatchesDenseOracle) {
     // with zero pivots (the LU import path). Under dual entry the
     // re-import is already dual feasible *and* primal feasible, so the
     // dual simplex must also pivot zero times.
-    const LpSolution again = SolveLp(m, options, nullptr, nullptr,
-                                     &revised.basis);
+    const LpSolution again = SolveLp(m, options, &revised.basis);
     ASSERT_TRUE(again.status.ok());
     EXPECT_TRUE(again.stats.warm_started);
     EXPECT_EQ(again.stats.phase1_pivots, 0);
@@ -271,6 +316,30 @@ TEST_P(LpFuzzTest, RevisedMatchesDenseOracle) {
     EXPECT_EQ(again.stats.dual_pivots, 0);
     EXPECT_NEAR(again.objective, revised.objective,
                 1e-9 + 1e-9 * std::abs(revised.objective));
+
+    // 6. Warm import after a re-weighting plus an rhs shift, under
+    // either entry, against a cold solve of the perturbed LP.
+    Rng perturb_rng(190000 + seed);
+    const Model perturbed = PerturbedLp(m, perturb_rng);
+    const LpSolution cold = SolveLp(perturbed);
+    ASSERT_NE(cold.status.code(), StatusCode::kInternal)
+        << cold.status.ToString();
+    if (cold.status.ok()) {
+      EXPECT_TRUE(cold.stats.certified);
+    }
+    for (const int entry : {kDevexPrimal, kDevexDual}) {
+      const LpSolution warm =
+          SolveLp(perturbed, ComboOptions(entry), &revised.basis);
+      EXPECT_EQ(warm.status.code(), cold.status.code())
+          << ComboLabel(entry) << " warm=" << warm.status.ToString()
+          << " cold=" << cold.status.ToString();
+      if (!warm.status.ok() || !cold.status.ok()) continue;
+      EXPECT_TRUE(warm.stats.certified) << ComboLabel(entry);
+      EXPECT_TRUE(LpFeasible(perturbed, warm.x)) << ComboLabel(entry);
+      EXPECT_NEAR(warm.objective, cold.objective,
+                  1e-6 + 1e-6 * std::abs(cold.objective))
+          << ComboLabel(entry);
+    }
   }
 
   if (dense.status.ok()) {
@@ -293,35 +362,25 @@ TEST_P(LpFuzzTest, RevisedMatchesDenseOracle) {
 
 std::string ComboName(
     const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  static const char* kCombo[] = {"DantzigPrimal", "DevexPrimal",
-                                 "DantzigDual", "DevexDual"};
-  return std::string(kCombo[std::get<1>(info.param)]) + "_seed" +
+  return std::string(ComboLabel(std::get<1>(info.param))) + "_seed" +
          std::to_string(std::get<0>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PricingEntryMatrix, LpFuzzTest,
     ::testing::Combine(::testing::Range(0, FuzzSeedCount()),
-                       ::testing::Range(0, 4)),
+                       ::testing::Values(kDevexPrimal, kDevexDual)),
     ComboName);
 
 // --- Pathological corpus -------------------------------------------------
 //
-// Hand-built adversarial instances crossed over the same pricing x
-// entry matrix: the classic cycling examples (Beale; Kuhn's degenerate
-// origin), a 1e-8..1e8 dynamic-range instance, near-parallel duplicated
-// rows, and a singular warm-basis import. Every combination must come
-// back Ok, *certified* (the safeguards' independent unscaled
-// verification pass), primal feasible, and at the known optimum (or the
-// dense oracle's, where the optimum is checked differentially).
-
-LpOptions ComboOptions(int combo) {
-  LpOptions options;
-  options.pricing = (combo & 1) != 0 ? Pricing::kDevex : Pricing::kDantzig;
-  options.entry =
-      (combo & 2) != 0 ? SimplexEntry::kDual : SimplexEntry::kPrimal;
-  return options;
-}
+// Hand-built adversarial instances crossed over the same two entries:
+// the classic cycling examples (Beale; Kuhn's degenerate origin), a
+// 1e-8..1e8 dynamic-range instance, near-parallel duplicated rows, and
+// a singular warm-basis import. Every case must come back Ok,
+// *certified* (the safeguards' independent unscaled verification pass),
+// primal feasible, and at the known optimum (or the dense oracle's,
+// where the optimum is checked differentially).
 
 class PathologicalLpTest : public ::testing::TestWithParam<int> {};
 
@@ -408,8 +467,8 @@ TEST_P(PathologicalLpTest, NearParallelDuplicatedRowsCertify) {
 TEST_P(PathologicalLpTest, SingularWarmImportRecoversOnEveryCombination) {
   // A hand-forged import whose basic columns are exact duplicates: the
   // recovery ladder (Markowitz escalation, then slack substitution)
-  // must absorb it on every pricing x entry combination and still land
-  // certified on the true optimum.
+  // must absorb it under both entries and still land certified on the
+  // true optimum.
   Model m;
   const VarId x = m.AddVariable(0, 3, -1.0, false);
   const VarId y = m.AddVariable(0, 3, -1.0, false);
@@ -418,8 +477,7 @@ TEST_P(PathologicalLpTest, SingularWarmImportRecoversOnEveryCombination) {
   LpBasis sick;
   sick.variables = {VarStatus::kBasic, VarStatus::kBasic};
   sick.slacks = {VarStatus::kAtLower, VarStatus::kAtLower};
-  const LpSolution s =
-      SolveLp(m, ComboOptions(GetParam()), nullptr, nullptr, &sick);
+  const LpSolution s = SolveLp(m, ComboOptions(GetParam()), &sick);
   ASSERT_TRUE(s.status.ok()) << s.status.ToString();
   EXPECT_GE(s.stats.singular_repairs, 1);
   EXPECT_TRUE(s.stats.certified);
@@ -428,13 +486,12 @@ TEST_P(PathologicalLpTest, SingularWarmImportRecoversOnEveryCombination) {
 }
 
 std::string PathologyComboName(const ::testing::TestParamInfo<int>& info) {
-  static const char* kCombo[] = {"DantzigPrimal", "DevexPrimal",
-                                 "DantzigDual", "DevexDual"};
-  return kCombo[info.param];
+  return ComboLabel(info.param);
 }
 
 INSTANTIATE_TEST_SUITE_P(PricingEntryMatrix, PathologicalLpTest,
-                         ::testing::Range(0, 4), PathologyComboName);
+                         ::testing::Values(kDevexPrimal, kDevexDual),
+                         PathologyComboName);
 
 }  // namespace
 }  // namespace cophy::lp

@@ -4,6 +4,7 @@
 
 #include "optimizer/simulator.h"
 #include "catalog/catalog.h"
+#include "common/strings.h"
 #include "core/report.h"
 #include "workload/generator.h"
 
@@ -158,6 +159,31 @@ TEST_F(ReportTest, SolverActivityRendersPresolveAndRootBounds) {
   EXPECT_EQ(empty.find("Presolve"), std::string::npos);
   EXPECT_EQ(empty.find("Root bounds"), std::string::npos);
   EXPECT_EQ(empty.find("Basis factorization"), std::string::npos);
+}
+
+TEST_F(ReportTest, SolverActivityRendersTreeNodes) {
+  // Proving optimality exactly under a tight budget makes the
+  // structured solver branch; the rendered line carries the tree size
+  // the recommendation reports.
+  CoPhyOptions opts;
+  opts.gap_target = 0.0;
+  opts.node_limit = 2000;
+  CoPhy advisor(sim_.get(), &pool_, w_, opts);
+  ASSERT_TRUE(advisor.Prepare().ok());
+  ConstraintSet tight;
+  tight.SetStorageBudget(0.05 * cat_.TotalDataBytes());
+  const Recommendation rec = advisor.Tune(tight);
+  ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
+  ASSERT_GT(rec.nodes, 0);
+  SolverActivity activity;
+  activity.nodes = rec.nodes;
+  activity.bound_evaluations = rec.bound_evaluations;
+  const std::string text = RenderSolverActivity(activity);
+  EXPECT_NE(text.find(StrFormat("B&B nodes %lld, bound evaluations %lld",
+                                static_cast<long long>(rec.nodes),
+                                static_cast<long long>(rec.bound_evaluations))),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(ReportTest, SolverActivityRendersDualAndForrestTomlinCounters) {

@@ -17,9 +17,9 @@
 // the columns intersecting rho's nonzero rows (CSR row walk), so a
 // pivot costs O(nnz of the active rows), not O(nnz of the model).
 //
-// Primal phase 2 prices with devex (reference-framework weights
-// updated from the same sparse pivot row, reset when they outgrow
-// their trusted range), confirms every candidate against its
+// Primal phase 2 prices with devex by default (reference-framework
+// weights updated from the same sparse pivot row, reset when they
+// outgrow their trusted range), confirms every candidate against its
 // exact reduced cost c_j - c_B . w after FTRAN, and falls back to
 // Bland's rule late in the iteration budget to guard against cycling.
 //
@@ -287,7 +287,7 @@ class RevisedSimplex {
   /// Optimizes the real objective from a primal-feasible basis.
   IterStatus Phase2(LpSolveStats* stats) {
     RecomputeReducedCosts();
-    devex_w_.assign(n_, 1.0);
+    if (options_.pricing == Pricing::kDevex) devex_w_.assign(n_, 1.0);
     return Iterate(/*phase1=*/false, stats);
   }
 
@@ -1292,6 +1292,7 @@ class RevisedSimplex {
   /// from the sparse pivot row, with a periodic full refresh.
   IterStatus Iterate(bool phase1, LpSolveStats* stats) {
     const int64_t iter_limit = 200 * (static_cast<int64_t>(m_) + n_) + 2000;
+    const bool use_devex = !phase1 && options_.pricing == Pricing::kDevex;
     int64_t pivots_since_refresh = 0;
     int64_t pivots_since_factor = 0;
     for (int64_t iter = 0; iter < iter_limit; ++iter) {
@@ -1330,12 +1331,12 @@ class RevisedSimplex {
         pivots_since_refresh = 0;
       }
 
-      // --- Pricing: pick the entering variable. Phase 2 scores devex
-      // d^2 / weight (approximate steepest edge) over the
-      // incrementally-maintained candidate list (compacting stale
-      // entries in place); phase 1 scores |d| and re-prices d every
-      // iteration, and Bland needs the lowest eligible index, so both
-      // scan every column. ---
+      // --- Pricing: pick the entering variable. Devex scores
+      // d^2 / weight (approximate steepest edge); Dantzig (and phase 1)
+      // scores |d|. Phase 2 scans the incrementally-maintained
+      // candidate list (compacting stale entries in place); phase 1
+      // re-prices d every iteration and Bland needs the lowest
+      // eligible index, so both scan every column. ---
       int enter = -1;
       double best_score = 0.0;
       int dir = 0;
@@ -1349,11 +1350,18 @@ class RevisedSimplex {
             continue;
           }
           price_cand_[keep++] = j;
-          // dj^2 / w_j > best is evaluated cross-multiplied so the
-          // divide only runs when the leader actually changes.
-          const double dj2 = d_[j] * d_[j];
-          if (dj2 > best_score * devex_w_[j]) {
-            best_score = dj2 / devex_w_[j];
+          const double dj = d_[j];
+          if (use_devex) {
+            // dj^2 / w_j > best is evaluated cross-multiplied so the
+            // divide only runs when the leader actually changes.
+            const double dj2 = dj * dj;
+            if (dj2 > best_score * devex_w_[j]) {
+              best_score = dj2 / devex_w_[j];
+              enter = j;
+              dir = jdir;
+            }
+          } else if (std::abs(dj) > best_score) {
+            best_score = std::abs(dj);
             enter = j;
             dir = jdir;
           }
@@ -1569,24 +1577,26 @@ class RevisedSimplex {
         BtranUnit(leave);
         ComputePivotRow();
         const double theta = d_[enter] / w_[leave];
-        double gamma = devex_w_[enter];
-        if (gamma > kDevexWeightCap) {
-          // The reference framework has drifted too far from the
-          // current nonbasic set for the weights to be trusted:
-          // restart devex from here.
-          std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
-          gamma = 1.0;
-          stats->devex_resets += 1;
-          GlobalSolverCounters().devex_resets.fetch_add(
-              1, std::memory_order_relaxed);
+        if (use_devex) {
+          double gamma = devex_w_[enter];
+          if (gamma > kDevexWeightCap) {
+            // The reference framework has drifted too far from the
+            // current nonbasic set for the weights to be trusted:
+            // restart devex from here.
+            std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
+            gamma = 1.0;
+            stats->devex_resets += 1;
+            GlobalSolverCounters().devex_resets.fetch_add(
+                1, std::memory_order_relaxed);
+          }
+          const double wratio = gamma / (w_[leave] * w_[leave]);
+          for (const int j : alpha_touched_) {
+            if (vstat_[j] == VarStatus::kBasic || j == enter) continue;
+            const double cand = alpha_[j] * alpha_[j] * wratio;
+            if (cand > devex_w_[j]) devex_w_[j] = cand;
+          }
+          devex_w_[leaving_var] = std::max(wratio, 1.0);
         }
-        const double wratio = gamma / (w_[leave] * w_[leave]);
-        for (const int j : alpha_touched_) {
-          if (vstat_[j] == VarStatus::kBasic || j == enter) continue;
-          const double cand = alpha_[j] * alpha_[j] * wratio;
-          if (cand > devex_w_[j]) devex_w_[j] = cand;
-        }
-        devex_w_[leaving_var] = std::max(wratio, 1.0);
         if (theta != 0.0) {
           for (const int j : alpha_touched_) {
             if (vstat_[j] == VarStatus::kBasic || j == enter) continue;

@@ -14,8 +14,9 @@
 //  - Primal (default): artificial-free phase 1 restores primal
 //    feasibility of an arbitrary starting basis by minimizing the
 //    total bound violation of the basic variables, then phase 2
-//    optimizes. Phase 2 prices with devex (reference-framework weights
-//    with cheap resets), every candidate is confirmed against its exact
+//    optimizes. Phase-2 pricing is devex by default (reference-
+//    framework weights with cheap resets, LpOptions::pricing switches
+//    back to Dantzig), every candidate is confirmed against its exact
 //    reduced cost after FTRAN, and a Bland fallback guards against
 //    cycling.
 //  - Dual: from a dual-feasible basis (wrong-sign reduced costs on
@@ -59,6 +60,21 @@ struct LpBasis {
   bool empty() const { return variables.empty() && slacks.empty(); }
 };
 
+/// Phase-2 pricing rule for the primal simplex.
+enum class Pricing : int8_t {
+  /// Largest reduced-cost violation. Cheap per pivot, but blind to the
+  /// steepness of the resulting edge — degenerate BIP relaxations pay
+  /// for it in pivot count. No advisor path sets it; the differential
+  /// tests run it as a second pivot sequence against the same oracle.
+  kDantzig = 0,
+  /// Devex (Harris '73): approximate steepest-edge weights maintained
+  /// from the pivot row against a reference framework, reset to the
+  /// current nonbasic set whenever the weights blow past their trusted
+  /// range. Nearly Dantzig-cheap per pivot, close to steepest-edge in
+  /// pivot count. The default.
+  kDevex = 1,
+};
+
 /// How SolveLp enters the solve.
 enum class SimplexEntry : int8_t {
   /// Phase 1 (restore primal feasibility), then phase 2.
@@ -86,6 +102,7 @@ enum class LpScaling : int8_t {
 
 /// Knobs for one SolveLp call.
 struct LpOptions {
+  Pricing pricing = Pricing::kDevex;
   SimplexEntry entry = SimplexEntry::kPrimal;
   LpScaling scaling = LpScaling::kGeometricMean;
   /// Master switch for the numerical self-defense layer: the

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "optimizer/simulator.h"
 #include "catalog/catalog.h"
@@ -26,6 +27,15 @@ struct RealProblemCase {
   bool het;
   double zipf;
 };
+
+/// Names each case by value. Without it gtest prints the parameter's
+/// raw bytes, padding included, so a case's name changed from one
+/// process to the next.
+void PrintTo(const RealProblemCase& c, std::ostream* os) {
+  *os << "q" << c.num_queries << "_seed" << c.seed << "_M"
+      << c.budget_fraction << (c.het ? "_het" : "_hom") << "_zipf"
+      << c.zipf;
+}
 
 class RealProblemBoundTest : public ::testing::TestWithParam<RealProblemCase> {
  protected:

@@ -1,11 +1,11 @@
 // Differential fuzz harness for the sparse-LU revised simplex
 // (lp::SolveLp) against the retained dense tableau oracle
-// (lp::SolveLpDense), run under both entries (primal phases, dual
-// simplex; phase 2 always prices with devex) on the same seed set.
-// Each seed generates a random bounded LP — mixed <=/>=/= rows, fixed /
-// boxed / upper-unbounded / truly-free variables, plus injected
+// (lp::SolveLpDense), run over the full pricing x entry matrix
+// ({Dantzig, devex} x {primal phases, dual simplex}) on the same seed
+// set. Each seed generates a random bounded LP — mixed <=/>=/= rows,
+// fixed / boxed / upper-unbounded / truly-free variables, plus injected
 // degenerate and rank-deficient structure (duplicated, scaled, and
-// summed rows) — and asserts, per entry:
+// summed rows) — and asserts, per combination:
 //
 //   1. status agreement (Ok / Infeasible / Unbounded);
 //   2. objectives within 1e-6 (relative) when both solve;
@@ -14,21 +14,21 @@
 //      exported row duals and reduced costs, on every solved instance;
 //   5. re-importing the revised solver's own basis warm-starts to the
 //      same optimum with zero pivots — through the dual simplex on the
-//      dual-entry cases, which must also report zero *dual* pivots on
-//      an already-optimal basis;
+//      dual-entry combinations, which must also report zero *dual*
+//      pivots on an already-optimal basis;
 //   6. after reweighting the objective by random positive factors and
 //      shifting one rhs, a warm re-solve from that basis under either
-//      entry agrees with a cold solve of the perturbed LP (status, and
+//      entry (with the combination's pricing) agrees with a cold solve of the perturbed LP (status, and
 //      objective within 1e-6), and every Ok result certifies. This is
 //      the warm root-LP import a retune makes after a re-weighting plus
 //      a budget change: the old basis is in general neither primal nor
 //      dual feasible, so dual entry must fall back cleanly.
 //
-// Dual-entry cases exercise every dual-simplex exit: cold starts
+// Dual-entry combinations exercise every dual-simplex exit: cold starts
 // are usually not dual feasible (primal fallback), re-imports are
 // (pure dual solve), and infeasible instances must surface as dual
 // rays. The seed count is env-overridable via COPHY_LP_FUZZ_SEEDS
-// (mirroring COPHY_FAULT_SWEEP_SEEDS; default 64 per entry).
+// (mirroring COPHY_FAULT_SWEEP_SEEDS; default 64 per combination).
 //
 // The oracle cannot shift truly-free variables (it rewrites x = lo + x'
 // with finite lo), so the harness hands it the classic x = x+ - x-
@@ -235,30 +235,30 @@ int FuzzSeedCount() {
   return 64;
 }
 
-/// Case code: bit 1 is the entry (0 primal, 1 dual). Bit 0 is set on
-/// every case; it stands for the devex phase-2 pricing all solves use,
-/// so the case names read DevexPrimal / DevexDual.
-constexpr int kDevexPrimal = 1;
-constexpr int kDevexDual = 3;
-
+/// Combination code: bit 0 = pricing (0 Dantzig, 1 devex) and bit 1 =
+/// entry (0 primal, 1 dual).
 LpOptions ComboOptions(int combo) {
   LpOptions options;
+  options.pricing = (combo & 1) != 0 ? Pricing::kDevex : Pricing::kDantzig;
   options.entry =
       (combo & 2) != 0 ? SimplexEntry::kDual : SimplexEntry::kPrimal;
   return options;
 }
 
 const char* ComboLabel(int combo) {
-  return combo == kDevexDual ? "DevexDual" : "DevexPrimal";
+  static const char* kCombo[] = {"DantzigPrimal", "DevexPrimal",
+                                 "DantzigDual", "DevexDual"};
+  return kCombo[combo];
 }
 
-/// Parameter: (seed, case code).
+/// Parameter: (seed, combination code).
 class LpFuzzTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(LpFuzzTest, RevisedMatchesDenseOracle) {
   const int seed = std::get<0>(GetParam());
-  const LpOptions options = ComboOptions(std::get<1>(GetParam()));
+  const int combo = std::get<1>(GetParam());
+  const LpOptions options = ComboOptions(combo);
 
   Rng rng(90000 + seed);
   const Model m = RandomLp(rng);
@@ -327,7 +327,8 @@ TEST_P(LpFuzzTest, RevisedMatchesDenseOracle) {
     if (cold.status.ok()) {
       EXPECT_TRUE(cold.stats.certified);
     }
-    for (const int entry : {kDevexPrimal, kDevexDual}) {
+    // Both entries under this combination's pricing (bit 0 kept).
+    for (const int entry : {combo & 1, combo | 2}) {
       const LpSolution warm =
           SolveLp(perturbed, ComboOptions(entry), &revised.basis);
       EXPECT_EQ(warm.status.code(), cold.status.code())
@@ -369,18 +370,18 @@ std::string ComboName(
 INSTANTIATE_TEST_SUITE_P(
     PricingEntryMatrix, LpFuzzTest,
     ::testing::Combine(::testing::Range(0, FuzzSeedCount()),
-                       ::testing::Values(kDevexPrimal, kDevexDual)),
+                       ::testing::Range(0, 4)),
     ComboName);
 
 // --- Pathological corpus -------------------------------------------------
 //
-// Hand-built adversarial instances crossed over the same two entries:
-// the classic cycling examples (Beale; Kuhn's degenerate origin), a
-// 1e-8..1e8 dynamic-range instance, near-parallel duplicated rows, and
-// a singular warm-basis import. Every case must come back Ok,
-// *certified* (the safeguards' independent unscaled verification pass),
-// primal feasible, and at the known optimum (or the dense oracle's,
-// where the optimum is checked differentially).
+// Hand-built adversarial instances crossed over the same pricing x
+// entry matrix: the classic cycling examples (Beale; Kuhn's degenerate
+// origin), a 1e-8..1e8 dynamic-range instance, near-parallel duplicated
+// rows, and a singular warm-basis import. Every combination must come
+// back Ok, *certified* (the safeguards' independent unscaled
+// verification pass), primal feasible, and at the known optimum (or the
+// dense oracle's, where the optimum is checked differentially).
 
 class PathologicalLpTest : public ::testing::TestWithParam<int> {};
 
@@ -467,8 +468,8 @@ TEST_P(PathologicalLpTest, NearParallelDuplicatedRowsCertify) {
 TEST_P(PathologicalLpTest, SingularWarmImportRecoversOnEveryCombination) {
   // A hand-forged import whose basic columns are exact duplicates: the
   // recovery ladder (Markowitz escalation, then slack substitution)
-  // must absorb it under both entries and still land certified on the
-  // true optimum.
+  // must absorb it on every pricing x entry combination and still land
+  // certified on the true optimum.
   Model m;
   const VarId x = m.AddVariable(0, 3, -1.0, false);
   const VarId y = m.AddVariable(0, 3, -1.0, false);
@@ -490,8 +491,7 @@ std::string PathologyComboName(const ::testing::TestParamInfo<int>& info) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PricingEntryMatrix, PathologicalLpTest,
-                         ::testing::Values(kDevexPrimal, kDevexDual),
-                         PathologyComboName);
+                         ::testing::Range(0, 4), PathologyComboName);
 
 }  // namespace
 }  // namespace cophy::lp

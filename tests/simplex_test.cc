@@ -439,6 +439,32 @@ TEST(SimplexTest, DualEntryProvesChildInfeasibleWithoutPhase1) {
   EXPECT_EQ(child.stats.phase1_pivots, 0);
 }
 
+TEST(SimplexTest, PricingRulesAgreeOnTheOptimum) {
+  // Devex and Dantzig must land on the same objective (possibly via
+  // different pivot sequences) on a degenerate-ish multi-row LP.
+  Model m;
+  std::vector<VarId> v;
+  for (int i = 0; i < 8; ++i) {
+    v.push_back(m.AddVariable(0, 2, -1.0 - 0.25 * i, false));
+  }
+  for (int r = 0; r < 5; ++r) {
+    Row row;
+    row.sense = Sense::kLe;
+    row.rhs = 4.0 + r;
+    for (int i = r; i < 8; i += 2) row.terms.push_back({v[i], 1.0 + (i & 1)});
+    m.AddRow(std::move(row));
+  }
+  LpOptions dantzig;
+  dantzig.pricing = Pricing::kDantzig;
+  LpOptions devex;
+  devex.pricing = Pricing::kDevex;
+  const LpSolution sd = SolveLp(m, dantzig);
+  const LpSolution sv = SolveLp(m, devex);
+  ASSERT_TRUE(sd.status.ok());
+  ASSERT_TRUE(sv.status.ok());
+  EXPECT_NEAR(sd.objective, sv.objective, 1e-9 + 1e-9 * std::abs(sd.objective));
+}
+
 TEST(SimplexTest, UnusableBasisFallsBackToColdStart) {
   Model m;
   const VarId x = m.AddVariable(0, 3, -1.0, false);
